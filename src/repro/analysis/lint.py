@@ -27,11 +27,10 @@ Pure stdlib ``ast`` — no third-party dependency.  Rules:
     exception names (``OutOfMemoryError``) whose builtin analogue
     (``MemoryError``) makes ``except`` sites ambiguous.
 ``backend-hygiene``
-    sim-core imports of the fast/compiled backend twins
-    (``repro.runtime.dispatch``, ``repro.heap.soa``,
-    ``FastExecutionContext``) outside the sanctioned entry points; the
-    three-way switch in :mod:`repro.fastpath` is how backends are
-    selected, and direct twin imports silently pin one backend.
+    sim-core imports of the fast backend's twin execution context
+    (``FastExecutionContext``) outside the sanctioned entry points; the
+    switch in :mod:`repro.fastpath` is how backends are selected, and a
+    direct twin import silently pins one backend.
 
 Waive a finding on its line with ``# rolp-lint: allow[rule]`` (or
 ``allow[*]``).  Exit status: 0 clean, 1 findings, 2 usage/parse errors.
@@ -87,25 +86,21 @@ BUILTIN_NAMES = frozenset(
     name for name in dir(builtins) if not name.startswith("_")
 )
 
-#: Modules that ARE optimised backend twins: importing them couples the
-#: importer to one backend behind the three-way switch's back.
-BACKEND_TWIN_MODULES = frozenset({"repro.runtime.dispatch", "repro.heap.soa"})
-
-#: Twin symbols living inside otherwise-generic modules.
+#: Twin symbols living inside otherwise-generic modules: importing them
+#: couples the importer to one backend behind the switch's back.
 BACKEND_TWIN_SYMBOLS: Dict[str, frozenset] = {
     "repro.runtime.interpreter": frozenset({"FastExecutionContext"}),
 }
 
 #: ``repro``-relative paths sanctioned to name the twins directly: the
 #: switch itself, the VM's construction-time backend selection, and the
-#: twin modules.  Everything else in sim-core goes through the switch.
+#: module defining the twin.  Everything else in sim-core goes through
+#: the switch.
 BACKEND_SANCTIONED = frozenset(
     {
         ("fastpath.py",),
         ("runtime", "vm.py"),
-        ("runtime", "dispatch.py"),
         ("runtime", "interpreter.py"),
-        ("heap", "soa.py"),
     }
 )
 
@@ -216,35 +211,18 @@ class _FileLinter(ast.NodeVisitor):
                 self._time_mods.add(bound)
             elif alias.name == "datetime":
                 self._datetime_mods.add(bound)
-            elif self.backend_scope and alias.name in BACKEND_TWIN_MODULES:
-                self._report(
-                    node,
-                    "backend-hygiene",
-                    "%s is a backend twin; select backends through "
-                    "repro.fastpath's switch instead of importing it directly"
-                    % alias.name,
-                )
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self.backend_scope:
-            if node.module in BACKEND_TWIN_MODULES:
-                self._report(
-                    node,
-                    "backend-hygiene",
-                    "%s is a backend twin; select backends through "
-                    "repro.fastpath's switch instead of importing from it"
-                    % node.module,
-                )
-            elif node.module in BACKEND_TWIN_SYMBOLS:
-                twins = BACKEND_TWIN_SYMBOLS[node.module]
-                for alias in node.names:
-                    if alias.name in twins:
-                        self._report(
-                            node,
-                            "backend-hygiene",
-                            "%s is a backend twin; the VM picks the execution "
-                            "context from repro.fastpath's switch" % alias.name,
-                        )
+        if self.backend_scope and node.module in BACKEND_TWIN_SYMBOLS:
+            twins = BACKEND_TWIN_SYMBOLS[node.module]
+            for alias in node.names:
+                if alias.name in twins:
+                    self._report(
+                        node,
+                        "backend-hygiene",
+                        "%s is a backend twin; the VM picks the execution "
+                        "context from repro.fastpath's switch" % alias.name,
+                    )
         if node.module == "random":
             for alias in node.names:
                 if alias.name == "SystemRandom":

@@ -5,7 +5,7 @@ A seeded evolutionary search over :class:`DemographyGenome` space
 and differential investment wired in as the oracle:
 
 * every candidate genome is simulated once per execution backend
-  (``reference``/``fast``/``compiled``) with **level-2 invariant
+  (``reference`` and ``fast``) with **level-2 invariant
   verification live**,
 * the per-backend outcomes go through
   :func:`repro.analysis.fuzz_oracle.judge` — invariant violations,

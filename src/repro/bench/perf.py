@@ -2,20 +2,14 @@
 
 Five named kernels time the simulator's hottest code paths — allocation,
 method entry/exit, survivor tracking, header pack/unpack and the full-GC
-copy loop — once per execution backend (``reference``, ``fast``,
-``compiled``; see :mod:`repro.fastpath`).  Each kernel is driven by the
-experiment runner as a triple of ``perf_kernel`` cells sharing one
-derived seed (the ``backend`` is a treatment parameter), so every
-backend replays the identical workload and the kernel doubles as a
-differential test: every cell returns a *fingerprint* of the
-simulation's observable state (counters, clocks, table checksums), and
-all backends must produce byte-identical fingerprints.
-
-The workload bodies are authored as :class:`MethodProgram` op arrays,
-so the reference and fast backends replay them through the ordinary
-``ctx.*`` entry points while the compiled backend executes them in the
-table-dispatch loop (:mod:`repro.runtime.dispatch`) — same op stream,
-three execution strategies.
+copy loop — once per execution backend (``reference`` and ``fast``;
+see :mod:`repro.fastpath`).  Each kernel is driven by the experiment
+runner as a pair of ``perf_kernel`` cells sharing one derived seed (the
+``backend`` is a treatment parameter), so both backends replay the
+identical workload and the kernel doubles as a differential test: every
+cell returns a *fingerprint* of the simulation's observable state
+(counters, clocks, table checksums), and both backends must produce
+byte-identical fingerprints.
 
 Timing cells are deliberately **never cached**: a wall-clock measurement
 replayed from a previous run's cache entry is not a measurement.  The
@@ -24,8 +18,8 @@ backend still participates in the shared result-cache key (see
 populate every backend side by side.
 
 ``perf()`` returns the ``BENCH_6.json`` payload: per kernel, the
-reference timing (the pre-optimisation baseline), the fast and compiled
-timings, both speedups and the fingerprint verdict, plus the process's
+reference timing (the pre-optimisation baseline), the fast timing, its
+speedup and the fingerprint verdict, plus the process's
 peak RSS.  With ``repeat > 1`` each (kernel, backend) cell rebuilds its
 fixture and re-times ``repeat`` times; reported ``ns_per_op`` is the
 median and ``cv`` the coefficient of variation (population stdev /
@@ -60,16 +54,9 @@ from repro.heap import header as hdr
 from repro.heap.bandwidth import BandwidthModel
 from repro.heap.heap import RegionHeap
 from repro.heap.object_model import IMMORTAL, SimObject
-from repro.heap.soa import HAVE_NUMPY
 from repro.metrics.report import render_table
 from repro.runtime.method import Method
-from repro.runtime.program import ProgramBuilder
 from repro.runtime.vm import JavaVM, VMFlags
-
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover - degraded environments
-    _np = None
 
 #: the kernel catalogue, in print order (docs/performance.md documents
 #: exactly what each one exercises)
@@ -115,75 +102,54 @@ def _table_checksum(table) -> int:
 # (float repr — bit equality, not tolerance), RNG-dependent counters,
 # table contents, stack states.  The ambient backend (set by
 # :func:`run_kernel` before fixture construction) selects the execution
-# strategy; the op stream is identical under all of them.
+# strategy; the op stream is identical under both.
 
 KernelRun = Callable[[], Tuple[int, Dict[str, object]]]
 
 
 def _alloc_loop_method(sizes: List[int], lives: List[int]) -> Method:
-    # body(ctx, start, count): for i in range(count): j = start + i;
-    # ctx.alloc(j % 7, sizes[j % 997], lives[j % 991])
-    builder = ProgramBuilder("allocLoop", nregs=2)
-    builder.repeat(1, 0)
-    builder.alloc_table(7, sizes, lives, 0)
-    builder.end_repeat()
-    return Method("allocLoop", "bench.perf.Alloc", builder.build(), bytecode_size=120)
+    def body(ctx, start, count):
+        for j in range(start, start + count):
+            ctx.alloc(j % 7, sizes[j % len(sizes)], lives[j % len(lives)])
+
+    return Method("allocLoop", "bench.perf.Alloc", body, bytecode_size=120)
 
 
 def _call_tree_methods() -> Tuple[Method, Method, Method, Method]:
     # bytecode_size > inline_max_size keeps every site out of inlining,
     # so each carries a real stack-state increment once jitted
-    leaf_a = Method(
-        "leafA", "bench.perf.Call", ProgramBuilder("leafA").build(), bytecode_size=100
-    )
-    leaf_b = Method(
-        "leafB", "bench.perf.Call", ProgramBuilder("leafB").build(), bytecode_size=100
-    )
-    mid = Method(
-        "mid",
-        "bench.perf.Call",
-        ProgramBuilder("mid").call(1, leaf_a).call(2, leaf_b).build(),
-        bytecode_size=100,
-    )
-    # root(ctx, count): for _ in range(count): ctx.call(1, mid); ctx.call(2, mid)
-    root_builder = ProgramBuilder("root", nregs=2)
-    root_builder.repeat(0, 1)
-    root_builder.call(1, mid)
-    root_builder.call(2, mid)
-    root_builder.end_repeat()
-    root = Method("root", "bench.perf.Call", root_builder.build(), bytecode_size=100)
+    def leaf(ctx):
+        pass
+
+    leaf_a = Method("leafA", "bench.perf.Call", leaf, bytecode_size=100)
+    leaf_b = Method("leafB", "bench.perf.Call", leaf, bytecode_size=100)
+
+    def mid_body(ctx):
+        ctx.call(1, leaf_a)
+        ctx.call(2, leaf_b)
+
+    mid = Method("mid", "bench.perf.Call", mid_body, bytecode_size=100)
+
+    def root_body(ctx, count):
+        for _ in range(count):
+            ctx.call(1, mid)
+            ctx.call(2, mid)
+
+    root = Method("root", "bench.perf.Call", root_body, bytecode_size=100)
     return root, mid, leaf_a, leaf_b
 
 
 def _copy_fill_method(sizes: List[int]) -> Method:
-    # fill(ctx, start, count): immortal allocs — survive every GC
-    builder = ProgramBuilder("fill", nregs=2)
-    builder.repeat(1, 0)
-    builder.alloc_table(5, sizes, None, 0)
-    builder.end_repeat()
-    return Method("fill", "bench.perf.Copy", builder.build(), bytecode_size=120)
+    # immortal allocations: survive every GC
+    def body(ctx, start, count):
+        for j in range(start, start + count):
+            ctx.alloc(j % 5, sizes[j % len(sizes)])
 
-
-def kernel_programs(seed: int = 0) -> List[Tuple[Method, int]]:
-    """The shipped perf-kernel root methods and their root arities.
-
-    ``rolp-bench staticcheck`` verifies every :class:`MethodProgram`
-    reachable from these roots; the kernels themselves build identical
-    programs (same builders, same operand tables).
-    """
-    rng = random.Random(seed)
-    alloc_sizes = [rng.choice((64, 128, 192, 256, 384, 512)) for _ in range(997)]
-    alloc_lives = [rng.choice((5_000, 50_000, 500_000)) for _ in range(991)]
-    copy_sizes = [rng.choice((96, 128, 160, 192, 256)) for _ in range(997)]
-    return [
-        (_alloc_loop_method(alloc_sizes, alloc_lives), 2),
-        (_call_tree_methods()[0], 1),
-        (_copy_fill_method(copy_sizes), 2),
-    ]
+    return Method("fill", "bench.perf.Copy", body, bytecode_size=120)
 
 
 def _kernel_alloc(seed: int, ops: int) -> KernelRun:
-    """The allocation path: table-indexed ``ALLOC_T`` → context
+    """The allocation path: table-indexed ``ctx.alloc`` → context
     resolution → sampling → collector placement → header install →
     OLD-table increment."""
     rng = random.Random(seed)
@@ -222,9 +188,7 @@ def _kernel_alloc(seed: int, ops: int) -> KernelRun:
 
 def _kernel_call(seed: int, ops: int) -> KernelRun:
     """Method entry/exit: call-site bookkeeping, the stack-state add/sub
-    slow path (mode ``slow``), frame push/pop, JIT invocation counting.
-    The compiled backend executes the whole four-level call tree in one
-    dispatch frame."""
+    slow path (mode ``slow``), frame push/pop, JIT invocation counting."""
     vm, _ = build_vm(
         "rolp",
         heap_mb=64,
@@ -262,9 +226,7 @@ def _kernel_call(seed: int, ops: int) -> KernelRun:
 def _kernel_survivor(seed: int, ops: int) -> KernelRun:
     """Survivor tracking: the per-GC-worker buffering of survival
     records plus the end-of-pause merge into the OLD table (including
-    the periodic inference pass).  The compiled backend feeds the same
-    headers through the vectorized column scan
-    (:meth:`~repro.core.profiler.RolpProfiler.on_gc_survivors_soa`)."""
+    the periodic inference pass)."""
     rng = random.Random(seed)
     profiler = RolpProfiler(RolpConfig(gc_workers=4))
     table = profiler.old_table
@@ -282,23 +244,9 @@ def _kernel_survivor(seed: int, ops: int) -> KernelRun:
         objs.append(obj)
     batches = max(1, ops // len(objs))
 
-    if backend() == "compiled" and HAVE_NUMPY:
-        # the column scan consumes raw headers; same words, same order
-        headers = _np.fromiter(
-            (obj.header for obj in objs), _np.uint64, count=len(objs)
-        )
-
-        def scan() -> None:
-            profiler.on_gc_survivors_soa(headers, 4)
-
-    else:
-
-        def scan() -> None:
-            profiler.on_gc_survivors(objs, 4)
-
     def run() -> Tuple[int, Dict[str, object]]:
         for gc_number in range(1, batches + 1):
-            scan()
+            profiler.on_gc_survivors(objs, 4)
             profiler.on_gc_end(gc_number, gc_number * 1_000_000, 1_000_000.0)
         return batches * len(objs), {
             "table": _table_checksum(table),
@@ -315,36 +263,11 @@ def _kernel_header(seed: int, ops: int) -> KernelRun:
     """Header bit manipulation: the age increment and fresh-header
     construction the copy and allocation loops lean on.  The fast mode
     times the optimised scalar functions, the reference mode their
-    ``*_reference`` twins, the compiled mode a vectorized column sweep;
-    the accumulator proves they all compute the same words."""
+    ``*_reference`` twins; the accumulator proves both compute the same
+    words."""
     rng = random.Random(seed)
     headers = [rng.getrandbits(64) for _ in range(4_096)]
     contexts = [rng.getrandbits(32) for _ in range(4_096)]
-    if backend() == "compiled" and HAVE_NUMPY:
-        header_col = _np.array(headers, dtype=_np.uint64)
-        context_col = _np.array(contexts, dtype=_np.uint64)
-        age_mask = _np.uint64(hdr.AGE_MASK)
-        age_one = _np.uint64(1 << hdr.AGE_SHIFT)
-
-        def run() -> Tuple[int, Dict[str, object]]:
-            # per-op term: increment_age(headers[j]) + fresh_header(contexts[j]);
-            # modular addition is associative, so the checksum over `ops`
-            # wrap-around passes is full_passes * column_sum + partial_sum
-            aged = _np.where(
-                (header_col & age_mask) != age_mask, header_col + age_one, header_col
-            )
-            fresh = (context_col & _np.uint64(hdr.MASK_32)) << _np.uint64(
-                hdr.CONTEXT_SHIFT
-            )
-            terms = aged + fresh  # uint64: wraps mod 2**64 like the scalar loop
-            full_passes, remainder = divmod(ops, len(headers))
-            accumulator = (
-                full_passes * int(terms.sum(dtype=_np.uint64))
-                + int(terms[:remainder].sum(dtype=_np.uint64))
-            ) & hdr.MASK_64
-            return ops, {"checksum": accumulator}
-
-        return run
     if backend() == "reference":
         increment, fresh = hdr.increment_age_reference, hdr.fresh_header_reference
     else:
@@ -365,9 +288,7 @@ def _kernel_header(seed: int, ops: int) -> KernelRun:
 def _kernel_gc_copy(seed: int, ops: int) -> KernelRun:
     """The young-GC copy loop: survivor profiling, aging, re-placement.
     A tenuring threshold above ``MAX_AGE`` pins every object in survivor
-    space, so each forced collection re-copies the full live set.  Under
-    the compiled backend the live set resides in SoA columns and the
-    sweep vectorizes (:mod:`repro.heap.soa`)."""
+    space, so each forced collection re-copies the full live set."""
     rng = random.Random(seed)
     heap = RegionHeap(64 << 20, 256 << 10)
     collector = G1Collector(
@@ -481,7 +402,7 @@ def perf(
     runner: Optional[Runner] = None,
     repeat: int = 1,
 ) -> Dict[str, object]:
-    """Run every kernel through all three backends; return the BENCH_6
+    """Run every kernel through both backends; return the BENCH_6
     payload.
 
     ``runner`` supplies seed/progress settings, but the timing cells
@@ -523,11 +444,8 @@ def perf(
         kernels_payload[name] = {
             "reference": _timing(reference),
             "fast": _timing(by_backend["fast"]),
-            "compiled": _timing(by_backend["compiled"]),
             "speedup": {
                 "fast": by_backend["fast"]["ops_per_s"] / reference["ops_per_s"],
-                "compiled": by_backend["compiled"]["ops_per_s"]
-                / reference["ops_per_s"],
             },
             "fingerprint_match": all(
                 by_backend[b]["fingerprint"] == reference["fingerprint"]
@@ -567,9 +485,7 @@ def render_perf(payload: Dict[str, object]) -> str:
                 entry["reference"]["ops"],
                 "%.0f" % entry["reference"]["ns_per_op"],
                 "%.0f" % entry["fast"]["ns_per_op"],
-                "%.0f" % entry["compiled"]["ns_per_op"],
                 "%.2fx" % entry["speedup"]["fast"],
-                "%.2fx" % entry["speedup"]["compiled"],
                 "yes" if entry["fingerprint_match"] else "NO — DIVERGED",
             ]
         )
@@ -579,9 +495,7 @@ def render_perf(payload: Dict[str, object]) -> str:
             "ops",
             "ref ns/op",
             "fast ns/op",
-            "compiled ns/op",
             "fast speedup",
-            "compiled speedup",
             "equivalent",
         ],
         rows,

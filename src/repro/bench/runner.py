@@ -45,7 +45,7 @@ from repro.fastpath import backend, set_backend
 
 #: bump when a cell implementation changes meaning — invalidates every
 #: cached result produced by older code
-CACHE_VERSION = "rolp-bench-cache/v5"
+CACHE_VERSION = "rolp-bench-cache/v6"
 
 #: default base seed; per-cell seeds are derived from it, never used raw
 DEFAULT_BASE_SEED = 42

@@ -46,11 +46,6 @@ from repro.core.old_table import OldTable, WorkerTable
 from repro.core.survivor_tracking import SurvivorTrackingController
 from repro.telemetry import NULL_TELEMETRY
 
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover - degraded environments
-    _np = None
-
 
 @dataclass
 class RolpConfig:
@@ -327,65 +322,6 @@ class RolpProfiler(NullProfiler):
             key = (context, (header & AGE_MASK) >> AGE_SHIFT)
             updates[key] = updates.get(key, 0) + 1
             recorded += 1
-        self.survivals_recorded += recorded
-        self.survivals_discarded += discarded
-        if recorded and self._metrics_on:
-            self._m_survivals.inc(recorded)
-
-    def on_gc_survivors_soa(self, headers, gc_threads: int) -> None:
-        """Column-sweep twin of :meth:`_on_gc_survivors_fast`.
-
-        ``headers`` is a uint64 ndarray of the survivors' *pre-aging*
-        headers, in survivor order (the SoA collect-young passes it; see
-        :meth:`repro.gc.generational.GenerationalCollector._collect_young_soa`).
-        The bias/context validity checks, worker assignment and (context,
-        age) bucketing vectorize; the per-worker ``updates`` dicts are
-        then filled from the unique buckets **in first-occurrence order**,
-        so each worker's dict insertion order — which fixes the
-        ``merge_worker`` iteration order — matches the per-object loop
-        exactly.  Every value is converted back to a Python int before it
-        enters a dict or counter.
-        """
-        n = len(headers)
-        if n == 0:
-            return
-        workers = self.workers
-        nworkers = len(workers)
-        registered = self.old_table.registered_sites
-
-        contexts = (headers >> _np.uint64(CONTEXT_SHIFT)) & _np.uint64(MASK_32)
-        valid = (headers & _np.uint64(BIASED_MASK)) == 0
-        valid &= contexts != 0
-        sites = (contexts >> _np.uint64(16)) & _np.uint64(MASK_16)
-        # set membership via a 64K lookup table (site ids are 16-bit)
-        lut = _np.zeros(MASK_16 + 1, dtype=bool)
-        if registered:
-            lut[_np.fromiter(registered, dtype=_np.int64, count=len(registered))] = True
-        valid &= lut[sites.astype(_np.int64)]
-
-        recorded = int(valid.sum())
-        discarded = n - recorded
-        if recorded:
-            index = _np.flatnonzero(valid)
-            worker_ids = ((index % gc_threads) % nworkers).astype(_np.uint64)
-            ages = (headers[index] & _np.uint64(AGE_MASK)) >> _np.uint64(AGE_SHIFT)
-            # (worker, context, age) packed: context < 2^32 occupies bits
-            # 4..35, age bits 0..3, worker bits 36+
-            keys = (
-                (worker_ids << _np.uint64(36))
-                | (contexts[index] << _np.uint64(4))
-                | ages
-            )
-            unique, first_index, counts = _np.unique(
-                keys, return_index=True, return_counts=True
-            )
-            # np.unique sorts by key; reorder by first occurrence so dict
-            # insertion order matches the sequential loop
-            for rank in _np.argsort(first_index, kind="stable"):
-                key = int(unique[rank])
-                updates = workers[key >> 36].updates
-                bucket = ((key >> 4) & MASK_32, key & 0xF)
-                updates[bucket] = updates.get(bucket, 0) + int(counts[rank])
         self.survivals_recorded += recorded
         self.survivals_discarded += discarded
         if recorded and self._metrics_on:

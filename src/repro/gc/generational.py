@@ -14,18 +14,12 @@ Lifetime Distribution table.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterable, List, Tuple
 
 from repro.heap.header import AGE_MASK, AGE_SHIFT
 from repro.heap.object_model import SimObject
 from repro.heap.region import Region, Space
 from repro.gc.collector import Collector
-
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover - degraded environments
-    _np = None
 
 #: one age-field increment (the add grow_older performs while unsaturated)
 _AGE_ONE = 1 << AGE_SHIFT
@@ -46,8 +40,6 @@ class GenerationalCollector(Collector):
     #: copying collectors age survivors on every copy, so the verifier
     #: may require age == min(copies, MAX_AGE)
     ages_on_copy = True
-    #: the young copy loop has a vectorized SoA sweep (compiled backend)
-    supports_soa = True
 
     def __init__(
         self,
@@ -83,9 +75,6 @@ class GenerationalCollector(Collector):
 
     def collect_young(self) -> None:
         """Stop-the-world evacuation of eden + survivor regions."""
-        if self._columns is not None:
-            self._collect_young_soa()
-            return
         if self.verifier.enabled:
             self.verifier.at_gc_start(self)
         now = self.clock.now_ns
@@ -163,151 +152,6 @@ class GenerationalCollector(Collector):
             survivors=len(survivors),
         )
         self._end_of_cycle(pause_ns)
-
-    def _collect_young_soa(self) -> None:
-        """== :meth:`collect_young`'s fast path with the copy loop as
-        column sweeps (compiled backend; objects are ColumnObject views
-        over :class:`repro.heap.soa.ObjectColumns`).
-
-        The numpy views are re-derived per collection because column
-        appends (allocation) may reallocate the underlying buffers; no
-        allocation happens while a collection is in progress, so the
-        views stay valid for the duration of the sweep.  Aging uses
-        unsigned 64-bit adds (identical wrap semantics to the guarded
-        Python add — the guard itself keeps the add unsaturated), and
-        every scalar leaving numpy is converted back to a Python int
-        before it touches counters or region accounting.
-        """
-        if self.verifier.enabled:
-            self.verifier.at_gc_start(self)
-        now = self.clock.now_ns
-        heap = self.heap
-        columns = self._columns
-        sources: List[Region] = heap.regions_in(Space.EDEN) + heap.regions_in(
-            Space.SURVIVOR
-        )
-        objs = [o for r in sources for o in r.objects]
-        tracking = self.profiler.survivor_tracking_enabled()
-        gc_threads = self.bandwidth.gc_threads
-
-        death_col = _np.frombuffer(columns.death, dtype=_np.float64)
-        headers_col = _np.frombuffer(columns.headers, dtype=_np.uint64)
-        sizes_col = _np.frombuffer(columns.sizes, dtype=_np.int64)
-        copies_col = _np.frombuffer(columns.copies, dtype=_np.int64)
-
-        if objs:
-            slots = _np.fromiter(
-                (o.slot for o in objs), dtype=_np.int64, count=len(objs)
-            )
-            live = death_col[slots] > now
-            survivors = list(compress(objs, live))
-            surv_slots = slots[live]
-        else:
-            survivors = []
-            surv_slots = None
-
-        # Attribution reads the pre-aging headers (tracer-gated).
-        self._attribute_copies(survivors)
-        for region in sources:
-            heap.release_region(region)
-
-        bytes_copied = 0
-        profiled = 0
-        if survivors:
-            headers = headers_col[surv_slots]  # pre-aging copy
-            if tracking:
-                hook = getattr(self.profiler, "on_gc_survivors_soa", None)
-                if hook is not None:
-                    hook(headers, gc_threads)
-                else:
-                    self.profiler.on_gc_survivors(survivors, gc_threads)
-                profiled = len(survivors)
-            # age (saturating), bump copy counts, sum copied bytes
-            age_mask = _np.uint64(AGE_MASK)
-            unsaturated = (headers & age_mask) != age_mask
-            headers[unsaturated] += _np.uint64(_AGE_ONE)
-            headers_col[surv_slots] = headers
-            copies_col[surv_slots] += 1
-            sizes = sizes_col[surv_slots]
-            bytes_copied = int(sizes.sum())
-            promote = ((headers & age_mask) >> _np.uint64(AGE_SHIFT)).astype(
-                _np.int64
-            ) >= self.tenuring_threshold
-            if bool((sizes > heap._humongous_bytes).any()) or (
-                type(self)._promote is not GenerationalCollector._promote
-            ):
-                # Humongous survivors need dedicated regions, and a
-                # subclass with its own promotion policy must see every
-                # object: keep the per-object path for the whole set.
-                heap_allocate = heap.allocate
-                promote_one = self._promote
-                for flag, obj in zip(promote.tolist(), survivors):
-                    if flag:
-                        promote_one(obj)
-                    else:
-                        heap_allocate(obj, Space.SURVIVOR)
-            else:
-                self.objects_promoted += int(promote.sum())
-                # Run-length groups over the promote mask preserve the
-                # exact region-claim interleaving of the per-object loop.
-                changes = _np.flatnonzero(promote[1:] != promote[:-1]) + 1
-                starts = [0] + changes.tolist() + [len(survivors)]
-                for g in range(len(starts) - 1):
-                    begin, end = starts[g], starts[g + 1]
-                    self._place_run(
-                        survivors[begin:end],
-                        sizes[begin:end],
-                        Space.OLD if promote[begin] else Space.SURVIVOR,
-                    )
-            self.copy_breakdown["young"] += bytes_copied
-
-        extra_copied, extra_profiled = self._old_phase(now, tracking)
-        bytes_copied += extra_copied
-        profiled += extra_profiled
-
-        pause_ns = self.bandwidth.pause_ns(
-            bytes_copied, regions_scanned=len(sources), survivors_profiled=profiled
-        )
-        self.young_collections += 1
-        self._record_pause(
-            self._young_pause_kind(),
-            pause_ns,
-            bytes_copied=bytes_copied,
-            survivors=len(survivors),
-        )
-        self._end_of_cycle(pause_ns)
-
-    def _place_run(self, objs: List[SimObject], sizes, space: Space) -> None:
-        """Bump-place a run of same-destination survivors.
-
-        Byte-for-byte equivalent to calling ``heap.allocate(obj, space)``
-        per object (no humongous objects in the run): the current bump
-        region is consulted first, fresh regions are claimed exactly when
-        the next object does not fit, and each claimed region fills with
-        the maximal prefix of the remaining run.
-        """
-        heap = self.heap
-        key = (space, 0)
-        region = heap._alloc_region.get(key)
-        cum = sizes.cumsum()
-        total = len(objs)
-        i = 0
-        base = 0
-        while i < total:
-            next_size = int(sizes[i])
-            if region is None or region.used + next_size > region.capacity:
-                region = heap.claim_region(space, 0)
-                heap._alloc_region[key] = region
-            # maximal prefix i..j-1 with cumulative size <= free room
-            j = int(_np.searchsorted(cum, base + (region.capacity - region.used), side="right"))
-            chunk = objs[i:j]
-            region.objects.extend(chunk)
-            for obj in chunk:
-                obj.region = region
-            chunk_bytes = int(cum[j - 1]) - base
-            region.used += chunk_bytes
-            base = int(cum[j - 1])
-            i = j
 
     def _young_pause_kind(self) -> str:
         return "young"

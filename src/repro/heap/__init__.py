@@ -10,12 +10,7 @@ from repro.heap.fragmentation import (
     guilty_contexts,
     space_fragmentation,
 )
-# OutOfMemoryError is the deprecated alias of SimOutOfMemoryError.
-from repro.heap.heap import (  # rolp-lint: allow[builtin-shadowing]
-    OutOfMemoryError,
-    RegionHeap,
-    SimOutOfMemoryError,
-)
+from repro.heap.heap import RegionHeap, SimOutOfMemoryError
 from repro.heap.object_model import IMMORTAL, SimObject
 from repro.heap.region import DEFAULT_REGION_BYTES, Region, Space
 
@@ -23,7 +18,6 @@ __all__ = [
     "BandwidthModel",
     "DEFAULT_REGION_BYTES",
     "IMMORTAL",
-    "OutOfMemoryError",
     "Region",
     "RegionHeap",
     "SimObject",

@@ -23,6 +23,7 @@ import os
 
 import pytest
 
+from repro import fastpath
 from repro.bench import fuzz
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -54,7 +55,7 @@ def test_corpus_entry_replays(entry):
 def test_corpus_entry_is_well_formed(entry):
     assert entry["schema"] == fuzz.CORPUS_SCHEMA
     assert entry["ops"] == fuzz.CORPUS_OPS
-    assert set(entry["backends"]) == {"reference", "fast", "compiled"}
+    assert set(entry["backends"]) == set(fastpath.BACKENDS)
     assert entry["check"] in {"replay-clean", "max-conflicts", "accuracy-cliff"}
     # the filename is the deterministic digest of (rule, genome) — a
     # hand-edited genome would silently detach from its name

@@ -6,6 +6,7 @@ self-check asserts the shipped ``repro`` tree is clean — which is the
 property CI enforces from here on.
 """
 
+import os
 import textwrap
 
 import pytest
@@ -211,12 +212,6 @@ class TestBuiltinShadowingRule:
 
 
 class TestBackendHygieneRule:
-    def test_twin_module_import_fires(self):
-        assert rules_of("import repro.runtime.dispatch\n") == {"backend-hygiene"}
-        assert rules_of("from repro.heap.soa import ObjectColumns\n") == {
-            "backend-hygiene"
-        }
-
     def test_twin_symbol_import_fires(self):
         src = "from repro.runtime.interpreter import FastExecutionContext\n"
         assert rules_of(src) == {"backend-hygiene"}
@@ -226,34 +221,20 @@ class TestBackendHygieneRule:
         assert findings("from repro.runtime.interpreter import ExecutionContext\n") == []
 
     def test_sanctioned_entry_points_are_exempt(self):
-        src = "from repro.runtime.dispatch import CompiledExecutionContext\n"
+        src = "from repro.runtime.interpreter import FastExecutionContext\n"
         assert findings(src, "src/repro/runtime/vm.py") == []
         assert findings(src, "src/repro/fastpath.py") == []
 
     def test_harness_code_may_import_twins(self):
-        src = "from repro.heap.soa import ObjectColumns\n"
+        src = "from repro.runtime.interpreter import FastExecutionContext\n"
         assert findings(src, HARNESS) == []
 
     def test_line_waiver_applies(self):
         src = (
-            "from repro.heap.soa import ObjectColumns"
+            "from repro.runtime.interpreter import FastExecutionContext"
             "  # rolp-lint: allow[backend-hygiene]\n"
         )
         assert findings(src) == []
-
-    def test_collector_soa_import_needs_its_waiver(self):
-        """gc/collector.py names ObjectColumns directly (it snapshots
-        the switch in __init__) — remove the waiver and the rule
-        fires."""
-        import repro.gc.collector as collector_mod
-
-        path = collector_mod.__file__
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        assert lint.lint_source(source, path) == []
-        stripped = source.replace("  # rolp-lint: allow[backend-hygiene]", "")
-        hits = lint.lint_source(stripped, path)
-        assert [f.rule for f in hits] == ["backend-hygiene"]
 
 
 class TestWaivers:
@@ -281,18 +262,20 @@ class TestTreeSelfCheck:
         assert lint.lint_paths([lint.default_target()]) == []
         assert lint.lint_paths.files_checked > 50
 
-    def test_heap_module_needs_its_deprecation_waiver(self):
-        """The deprecated OutOfMemoryError alias is exactly one waived
-        builtin-shadowing finding — remove the waiver and it fires."""
-        import repro.heap.heap as heap_mod
-
-        path = heap_mod.__file__
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        assert lint.lint_source(source, path) == []
-        stripped = source.replace("# rolp-lint: allow[builtin-shadowing]", "")
-        hits = lint.lint_source(stripped, path)
-        assert [f.rule for f in hits] == ["builtin-shadowing"]
+    @pytest.mark.parametrize("rule", ["builtin-shadowing", "backend-hygiene"])
+    def test_tree_needs_no_waiver(self, rule):
+        """No shipped module leans on a waiver of ``rule``: stripping
+        every such waiver from the tree leaves it clean."""
+        waiver = "# rolp-lint: allow[%s]" % rule
+        hits = []
+        for root, _dirs, names in os.walk(lint.default_target()):
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path, "r", encoding="utf-8") as handle:
+                        source = handle.read()
+                    hits.extend(lint.lint_source(source.replace(waiver, ""), path))
+        assert hits == []
 
 
 class TestCommandLine:
@@ -348,6 +331,6 @@ def test_every_rule_has_a_firing_fixture(rule):
         "mutable-default": "def f(xs=[]):\n    return xs\n",
         "unordered-iteration": "xs = [x for x in {1, 2}]\n",
         "builtin-shadowing": "id = 3\n",
-        "backend-hygiene": "from repro.heap.soa import ObjectColumns\n",
+        "backend-hygiene": "from repro.runtime.interpreter import FastExecutionContext\n",
     }
     assert rules_of(fixtures[rule]) == {rule}

@@ -1,19 +1,19 @@
 """Differential equivalence suite for the execution backends.
 
-The fast and compiled backends (:mod:`repro.fastpath`) are pure
-reimplementations: under any of ``reference``/``fast``/``compiled``,
-every figure/table cell and every perf kernel must produce byte-identical
-results.  Three layers pin that down:
+The fast backend (:mod:`repro.fastpath`) is a pure reimplementation:
+under either of ``reference``/``fast``, every figure/table cell and
+every perf kernel must produce byte-identical results.  Four layers pin
+that down:
 
 * each perf kernel's fingerprint (counters, clock totals, OLD-table
-  checksums, stack states) matches across all backends,
+  checksums, stack states) matches across both backends,
 * the rendered ``table1``/``fig6`` artifacts (stdout and ``--json-dir``
-  JSON) match across all backends,
+  JSON) match across both backends,
 * every backend survives a level-2 invariant verification
   (``InvariantViolation``-free), and verification does not change the
   kernel fingerprints,
 * the hostile demographies (the adversarial fuzz workload and the
-  trace-calibrated replay) fingerprint byte-identically across all
+  trace-calibrated replay) fingerprint byte-identically across both
   backends — equivalence must hold under antagonistic allocation
   patterns, not just the paper's friendly workloads.
 """
@@ -94,7 +94,7 @@ class TestKernelEquivalence:
         backends keep every invariant, and the fingerprint proves
         verification itself perturbs nothing."""
         ops = perf.kernel_ops(kernel)
-        unverified = perf.run_kernel(kernel, SEED, ops, "compiled")
+        unverified = perf.run_kernel(kernel, SEED, ops, "fast")
         with verify_level(2):
             for name in BACKENDS:
                 verified = perf.run_kernel(kernel, SEED, ops, name)
