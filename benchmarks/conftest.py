@@ -7,10 +7,8 @@ shared pause-study runs additionally honour ``ROLP_BENCH_JOBS`` (worker
 processes) and ``ROLP_BENCH_CACHE_DIR`` (per-cell result cache) — see
 docs/benchmarking.md.
 
-The simulated runs are deterministic, so one round per benchmark is the
-meaningful measurement — ``benchmark.pedantic(..., rounds=1)`` records
-the wall-clock cost of regenerating each artifact without re-running
-multi-second simulations dozens of times.
+Each benchmark regenerates its artifact once and asserts the paper's
+shape on it; host-time speed is measured by ``perfbench/``.
 """
 
 import os
@@ -49,15 +47,3 @@ def pause_studies():
         _PAUSE_STUDIES.extend(pause_study(runner=runner))
     return _PAUSE_STUDIES
 
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-@pytest.fixture
-def once(benchmark):
-    def runner(fn, *args, **kwargs):
-        return run_once(benchmark, fn, *args, **kwargs)
-
-    return runner

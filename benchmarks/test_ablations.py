@@ -15,8 +15,8 @@ from repro.bench.ablations import (
 )
 
 
-def test_ablation_survivor_tracking(once):
-    results = once(ablation_survivor_tracking)
+def test_ablation_survivor_tracking():
+    results = ablation_survivor_tracking()
     print()
     text = render_ablation(results, "[Ablation] survivor-tracking shutdown (7.4)")
     print(text)
@@ -29,8 +29,8 @@ def test_ablation_survivor_tracking(once):
     assert dynamic.p50_ms <= always_on.p50_ms * 1.10
 
 
-def test_ablation_package_filters(once):
-    results = once(ablation_package_filters)
+def test_ablation_package_filters():
+    results = ablation_package_filters()
     print()
     text = render_ablation(results, "[Ablation] package filters (7.3)")
     print(text)
@@ -42,8 +42,8 @@ def test_ablation_package_filters(once):
     assert filtered.extra["profiling_tax_ms"] <= everything.extra["profiling_tax_ms"]
 
 
-def test_ablation_generations(once):
-    results = once(ablation_generations)
+def test_ablation_generations():
+    results = ablation_generations()
     print()
     text = render_ablation(results, "[Ablation] 16 generations vs binary (9)")
     print(text)
@@ -55,8 +55,8 @@ def test_ablation_generations(once):
     assert sixteen.p999_ms <= binary.p999_ms * 1.05
 
 
-def test_ablation_allocation_sampling(once):
-    results = once(ablation_allocation_sampling)
+def test_ablation_allocation_sampling():
+    results = ablation_allocation_sampling()
     print()
     text = render_ablation(results, "[Ablation] allocation sampling (8.5)")
     print(text)
@@ -71,8 +71,8 @@ def test_ablation_allocation_sampling(once):
     assert quarter.extra["advice"] >= 1
 
 
-def test_ablation_offline_profile(once):
-    results = once(ablation_offline_profile)
+def test_ablation_offline_profile():
+    results = ablation_offline_profile()
     print()
     text = render_ablation(results, "[Ablation] offline (POLM2) vs online (ROLP)")
     print(text)
@@ -88,8 +88,8 @@ def test_ablation_offline_profile(once):
     assert offline.p50_ms <= online.p50_ms * 1.1
 
 
-def test_ablation_increment_loss(once):
-    results = once(ablation_increment_loss)
+def test_ablation_increment_loss():
+    results = ablation_increment_loss()
     print()
     text = render_ablation(results, "[Ablation] OLD increment loss (7.6)")
     print(text)

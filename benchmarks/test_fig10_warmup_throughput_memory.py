@@ -13,8 +13,8 @@ from conftest import save_artifact
 from repro.bench.figures import figure10, render_figure10
 
 
-def test_figure10(once):
-    study = once(figure10)
+def test_figure10():
+    study = figure10()
     text = render_figure10(study)
     print()
     print(text)

@@ -11,8 +11,8 @@ from conftest import save_artifact
 from repro.bench.figures import FIG6_MODES, figure6, render_figure6
 
 
-def test_figure6(once):
-    series = once(figure6)
+def test_figure6():
+    series = figure6()
     text = "[Figure 6] DaCapo execution time normalized to G1\n" + render_figure6(series)
     print()
     print(text)

@@ -10,8 +10,8 @@ from conftest import save_artifact
 from repro.bench.figures import figure7, render_figure7
 
 
-def test_figure7(once):
-    series = once(figure7)
+def test_figure7():
+    series = figure7()
     text = "[Figure 7] Worst-case conflict resolution time (ms)\n" + render_figure7(series)
     print()
     print(text)

@@ -11,8 +11,8 @@ from conftest import save_artifact
 from repro.bench.figures import render_figure8
 
 
-def test_figure8(once, pause_studies):
-    studies = once(lambda: pause_studies)
+def test_figure8(pause_studies):
+    studies = pause_studies
     text = render_figure8(studies)
     print()
     print(text)

@@ -14,8 +14,8 @@ def _long_pause_count(histogram, threshold_label_index: int = 2) -> int:
     return sum(count for _, count in histogram[threshold_label_index:])
 
 
-def test_figure9(once, pause_studies):
-    studies = once(lambda: pause_studies)
+def test_figure9(pause_studies):
+    studies = pause_studies
     text = render_figure9(studies)
     print()
     print(text)

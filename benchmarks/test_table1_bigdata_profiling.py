@@ -10,8 +10,8 @@ from conftest import save_artifact
 from repro.bench.tables import render_table1, table1
 
 
-def test_table1(once):
-    rows = once(table1)
+def test_table1():
+    rows = table1()
     text = "[Table 1] Big Data benchmark profiling summary\n" + render_table1(rows)
     print()
     print(text)

@@ -13,8 +13,8 @@ from repro.workloads.dacapo import DACAPO_SPECS
 EXPECTED_CONFLICTS = {"pmd": 6, "tomcat": 4, "tradesoap": 3}
 
 
-def test_table2(once):
-    rows = once(table2)
+def test_table2():
+    rows = table2()
     text = "[Table 2] DaCapo profiling and conflicts\n" + render_table2(rows)
     print()
     print(text)

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional
 from repro import COLLECTOR_NAMES
 from repro.analysis import InvariantViolation, set_default_verify_level
 from repro.analysis import pause_attribution
-from repro.bench import ablations, artifacts, figures, fuzz, perf, tables
+from repro.bench import ablations, artifacts, figures, fuzz, tables
 from repro.bench.config import bench_scale
 from repro.bench.runner import (
     DEFAULT_BASE_SEED,
@@ -223,7 +223,6 @@ def _run_experiments(
     collectors: Optional[List[str]],
     specs,
     explain_capacity: Optional[int] = None,
-    perf_repeat: int = 1,
     fuzz_budget: str = "32",
     corpus_dir: str = fuzz.DEFAULT_CORPUS_DIR,
 ) -> None:
@@ -290,14 +289,6 @@ def _run_experiments(
             payloads["explain"] = report
             print("[Explain] per-pause root-cause attribution (tail vs overall)")
             print(pause_attribution.render_report(report))
-        elif experiment == "perf":
-            study = perf.perf(session=session, runner=runner, repeat=perf_repeat)
-            payloads["perf"] = study
-            print("[Perf] hot-path microbenchmarks across execution backends")
-            print(perf.render_perf(study))
-            os.makedirs(os.path.dirname(perf.BENCH_JSON), exist_ok=True)
-            artifacts.write_json(perf.BENCH_JSON, study)
-            print("perf results written to %s" % perf.BENCH_JSON)
         elif experiment == "fuzz":
             report = fuzz.fuzz(
                 runner,
@@ -335,7 +326,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "ablations",
             "trace",
             "explain",
-            "perf",
             "fuzz",
             "staticcheck",
             "serve",
@@ -443,15 +433,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run invariant verification inside every simulation: 1 walks "
         "the heap at GC boundaries, 2 adds the biased-lock discipline "
         "checker (bare --verify means 2); a violation exits with status 3",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="perf experiment only: re-time each (kernel, backend) cell "
-        "N times (fresh fixture per run) and report the median ns/op "
-        "plus the coefficient of variation (default: 1)",
     )
     parser.add_argument(
         "--trace-out",
@@ -623,7 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             collectors,
             specs,
             explain_capacity=recorder_capacity,
-            perf_repeat=max(1, args.repeat),
             fuzz_budget=args.budget,
             corpus_dir=args.corpus_dir,
         )

@@ -123,7 +123,8 @@ def _fingerprint(result, workload) -> Dict[str, object]:
     """JSON-stable digest of everything the backends could perturb.
 
     Floats go through ``repr`` — the differential oracle demands bit
-    equality, not tolerance (the :mod:`repro.bench.perf` convention).
+    equality, not tolerance (the convention of the kernel fingerprints
+    in tests/test_perf_equivalence.py).
     """
     profiler_summary = result.profiler_summary or {}
     pause_ms = result.pause_ms

@@ -55,21 +55,6 @@ EXTRA_WORKLOAD_OPS: Dict[str, int] = {
 }
 
 
-def register_workload(
-    name: str, constructor: Callable[..., Workload], default_ops: int
-) -> None:
-    """Register an extra (non-paper) workload.
-
-    It becomes constructable through :func:`make_big_workload` and
-    runnable through the bench layers, without joining the default
-    experiment grids.
-    """
-    if name in BIG_WORKLOADS or name in EXTRA_WORKLOADS:
-        raise ValueError("workload %r already registered" % name)
-    EXTRA_WORKLOADS[name] = constructor
-    EXTRA_WORKLOAD_OPS[name] = default_ops
-
-
 def all_workload_names():
     """Every constructable workload name (paper six + extras), sorted."""
     return sorted(set(BIG_WORKLOADS) | set(EXTRA_WORKLOADS))

@@ -25,7 +25,7 @@ stable across releases of the same schema version.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 #: bump when any request/response shape changes incompatibly
 SCHEMA = "rolp-bench/server/v1"
@@ -450,10 +450,6 @@ def check_response(body: dict) -> str:
         raise SchemaError("$", "response matches no known envelope: %r" % sorted(body))
     validate(body, RESPONSE_SCHEMAS[name])
     return name
-
-
-def reason_slugs() -> List[str]:
-    return sorted(REASONS)
 
 
 def iter_schemas() -> Iterable[Tuple[str, dict]]:

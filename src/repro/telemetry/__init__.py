@@ -142,9 +142,6 @@ class TelemetrySession:
     def write_trace(self, path: str) -> None:
         self.sink.write_chrome(path)
 
-    def write_trace_jsonl(self, path: str) -> None:
-        self.sink.write_jsonl(path)
-
     def write_prometheus(self, path: str) -> None:
         self.metrics.write_prometheus(path)
 

@@ -9,7 +9,7 @@ which would otherwise alias the context sharing their low 32 bits.
 The header section pins the fast/reference equivalence at the function
 level: ``increment_age`` and ``fresh_header`` must agree with their
 ``*_reference`` twins over the whole input domain, not just the inputs
-the perf kernels happen to draw.
+the equivalence kernels happen to draw.
 """
 
 from hypothesis import given
